@@ -17,6 +17,7 @@ properties ... here: the density of the grouping keys."*
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
@@ -217,11 +218,11 @@ def properties_from_table(table: Table, qualify: str = "") -> PropertyVector:
     )
 
 
-#: memo for :func:`correlations_from_table`, keyed by (table identity,
-#: qualifier). Tables are immutable, so identity-keyed caching is sound;
-#: entries die with the table object (weak keying is not worth the
-#: bookkeeping at this scale).
-_CORRELATION_CACHE: dict[tuple[int, str, int], Correlations] = {}
+#: memo for :func:`correlations_from_table`: per table object, per
+#: (qualifier, sample limit). Tables are immutable, so caching per object
+#: is sound; weak keying drops the entries with the table, so a new table
+#: can never be served a collected one's correlations.
+_CORRELATION_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def correlations_from_table(
@@ -233,8 +234,8 @@ def correlations_from_table(
     paper's experiments, not thousand-column tables. Results are memoised
     per table object (tables are immutable).
     """
-    cache_key = (id(table), qualify, sample_limit)
-    cached = _CORRELATION_CACHE.get(cache_key)
+    per_table = _CORRELATION_CACHE.setdefault(table, {})
+    cached = per_table.get((qualify, sample_limit))
     if cached is not None:
         return cached
     pairs: set[tuple[str, str]] = set()
@@ -248,7 +249,5 @@ def correlations_from_table(
                 qualified_y = f"{qualify}.{y}" if qualify else y
                 pairs.add((qualified_x, qualified_y))
     result = Correlations(frozenset(pairs))
-    if len(_CORRELATION_CACHE) > 4096:
-        _CORRELATION_CACHE.clear()
-    _CORRELATION_CACHE[cache_key] = result
+    per_table[(qualify, sample_limit)] = result
     return result

@@ -170,41 +170,27 @@ def perfect_hash_slots(
     :param min_key: domain lower bound; measured from the data if omitted.
     :param max_key: domain upper bound; measured from the data if omitted.
     :param min_density: density guard threshold (see
-        :class:`repro.indexes.perfect_hash.StaticPerfectHash`).
+        :meth:`repro.indexes.perfect_hash.StaticPerfectHash.occupancy`).
     :raises PreconditionError: on an empty input with no explicit domain,
         or on a too-sparse domain.
     """
-    keys = np.ascontiguousarray(keys, dtype=np.int64)
-    if min_key is None or max_key is None:
-        if keys.size == 0:
-            raise PreconditionError(
-                "perfect_hash_slots on empty input requires an explicit domain"
-            )
-        min_key = int(keys.min()) if min_key is None else min_key
-        max_key = int(keys.max()) if max_key is None else max_key
-    sph = StaticPerfectHash(min_key, max_key, min_density=0.0)
-    raw_slots = sph.slot_checked(keys)
-    occupancy = np.bincount(raw_slots, minlength=sph.num_slots)
-    occupied = occupancy > 0
-    num_occupied = int(np.count_nonzero(occupied))
-    if sph.num_slots and num_occupied / sph.num_slots < min_density:
-        raise PreconditionError(
-            "static perfect hashing requires a dense key domain: density "
-            f"{num_occupied / sph.num_slots:.4f} < required {min_density:.4f}"
-        )
+    sph, raw_slots, occupancy = StaticPerfectHash.occupancy(
+        keys, min_density, min_key, max_key
+    )
     structure_bytes = sph.memory_bytes()
-    if num_occupied == sph.num_slots:
+    if sph.is_minimal:
         # Minimal SPH: slots are exactly the compacted key domain.
         slots = raw_slots
         group_keys = sph.key_of_slot(np.arange(sph.num_slots, dtype=np.int64))
     else:
         # Non-minimal: compact away the unused slots.
+        occupied = occupancy > 0
         compaction = np.cumsum(occupied) - 1
         slots = compaction[raw_slots]
         group_keys = sph.key_of_slot(np.flatnonzero(occupied).astype(np.int64))
         structure_bytes += int(compaction.nbytes)
     return GroupingAssignment(
-        slots=slots.astype(np.int64),
+        slots=np.asarray(slots, dtype=np.int64),
         group_keys=np.asarray(group_keys, dtype=np.int64),
         key_order=KeyOrder.SORTED,
         structure_bytes=structure_bytes,
@@ -338,6 +324,37 @@ def aggregate_assignment(
     )
 
 
+def assign_slots(
+    keys: np.ndarray,
+    algorithm: GroupingAlgorithm,
+    num_distinct_hint: int | None = None,
+    validate: bool = False,
+) -> GroupingAssignment:
+    """Stage 1 of the chosen §4.1 algorithm.
+
+    An empty input has zero groups under every algorithm, SPHG included
+    (which otherwise measures its domain from the keys).
+
+    :raises PreconditionError: when the algorithm's precondition fails
+        (SPHG on sparse domains always fails; OG only fails when
+        ``validate`` is set).
+    """
+    if algorithm is GroupingAlgorithm.HG:
+        return hash_slots(keys, num_distinct_hint)
+    if algorithm is GroupingAlgorithm.SPHG:
+        if len(keys) == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return GroupingAssignment(empty, empty.copy(), KeyOrder.SORTED)
+        return perfect_hash_slots(keys)
+    if algorithm is GroupingAlgorithm.OG:
+        return order_slots(keys, validate=validate)
+    if algorithm is GroupingAlgorithm.SOG:
+        return sort_order_slots(keys)
+    if algorithm is GroupingAlgorithm.BSG:
+        return binary_search_slots(keys)
+    raise PreconditionError(f"unknown grouping algorithm: {algorithm!r}")
+
+
 def group_by(
     keys: np.ndarray,
     values: np.ndarray | None,
@@ -354,22 +371,9 @@ def group_by(
     :param algorithm: which of the five implementations to run.
     :param num_distinct_hint: known NDV (sizes HG's table).
     :param validate: verify algorithm preconditions (OG clustering).
-    :raises PreconditionError: when the algorithm's precondition fails
-        (SPHG on sparse domains always fails; OG only fails when
-        ``validate`` is set).
+    :raises PreconditionError: see :func:`assign_slots`.
     """
-    if algorithm is GroupingAlgorithm.HG:
-        assignment = hash_slots(keys, num_distinct_hint)
-    elif algorithm is GroupingAlgorithm.SPHG:
-        assignment = perfect_hash_slots(keys)
-    elif algorithm is GroupingAlgorithm.OG:
-        assignment = order_slots(keys, validate=validate)
-    elif algorithm is GroupingAlgorithm.SOG:
-        assignment = sort_order_slots(keys)
-    elif algorithm is GroupingAlgorithm.BSG:
-        assignment = binary_search_slots(keys)
-    else:
-        raise PreconditionError(f"unknown grouping algorithm: {algorithm!r}")
+    assignment = assign_slots(keys, algorithm, num_distinct_hint, validate)
     return aggregate_assignment(assignment, values)
 
 

@@ -84,46 +84,186 @@ class JoinResult:
         )
 
 
-def _expand_matches(
-    probe_slots: np.ndarray,
-    slot_offsets: np.ndarray,
-    slot_counts: np.ndarray,
-    build_rows_grouped: np.ndarray,
+def _expand_runs(
+    probe_rows: np.ndarray, starts: np.ndarray, lengths: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Expand per-probe slot hits into (build_row, probe_row) pairs.
-
-    ``build_rows_grouped`` lists build row ids grouped by slot;
-    ``slot_offsets[s] .. slot_offsets[s] + slot_counts[s]`` is slot ``s``'s
-    range in it. Probes with slot -1 produce no output. The expansion is
-    probe-major, preserving probe order.
-    """
-    hit = probe_slots >= 0
-    hit_rows = np.flatnonzero(hit)
-    hit_slots = probe_slots[hit_rows]
-    lengths = slot_counts[hit_slots]
+    """Probe-major expansion: probe row ``probe_rows[i]`` matches the
+    positions ``starts[i] .. starts[i] + lengths[i]``. Returns the
+    ``(positions, probe rows)`` of every match."""
     total = int(lengths.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    probe_out = np.repeat(hit_rows, lengths)
+    probe_out = np.repeat(probe_rows, lengths)
     # Per output row, its rank within its probe's match list:
-    boundaries = np.cumsum(lengths)
     ranks = np.arange(total, dtype=np.int64) - np.repeat(
-        boundaries - lengths, lengths
+        np.cumsum(lengths) - lengths, lengths
     )
-    starts = np.repeat(slot_offsets[hit_slots], lengths)
-    build_out = build_rows_grouped[starts + ranks]
-    return build_out.astype(np.int64), probe_out.astype(np.int64)
+    return np.repeat(starts, lengths) + ranks, probe_out
 
 
-def _group_build_rows(
-    build_slots: np.ndarray, num_slots: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group build row ids by slot: returns (offsets, counts, grouped rows)."""
-    counts = np.bincount(build_slots, minlength=num_slots).astype(np.int64)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
-    order = np.argsort(build_slots, kind="stable")
-    return offsets, counts, order.astype(np.int64)
+class JoinBuild:
+    """The build side of a probe-major join (HJ, SPHJ or BSJ), erected once
+    and probed by any number of probe shards.
+
+    Each algorithm maps a probe key to a build *slot* (-1 for a miss):
+    HJ through its hash table, SPHJ as ``key - min_key``, BSJ by binary
+    search over the sorted distinct build keys. A slot then names its
+    build rows in one of two forms:
+
+    * **unique build keys**, observed from data the build computes anyway
+      (HJ's distinct count, SPH's occupancy, BSJ's sorted runs):
+      ``row_of_slot[slot]`` is the slot's one build row, and a trailing
+      -1 is what slot -1 and every empty SPH slot read. Probing is a
+      gather: no sort at build time, no expansion at probe time.
+    * **duplicate build keys**: ``offsets``/``counts``/``grouped`` list
+      each slot's build rows ascending, expanded per hit probe row.
+
+    Both forms emit probe-major output with ties build-row-ascending, so
+    sharded probes concatenate to exactly the serial result. :attr:`state`
+    holds every array and scalar a probe reads; the process backend
+    publishes it to shared memory and workers rebuild the structure as
+    ``JoinBuild(state)`` around the shared views.
+    """
+
+    def __init__(self, state: dict) -> None:
+        self.state = state
+        self.algorithm = JoinAlgorithm(state["algorithm"])
+        self._table = (
+            OpenAddressingHashTable.from_state(**state["table"])
+            if "table" in state
+            else None
+        )
+
+    @classmethod
+    def build(
+        cls,
+        algorithm: JoinAlgorithm,
+        build_keys: np.ndarray,
+        num_distinct_hint: int | None = None,
+        hash_name: str = "murmur3",
+        min_density: float = 0.5,
+    ) -> "JoinBuild":
+        """Erect the structure over non-empty ``build_keys``.
+
+        :raises PreconditionError: for OJ/SOJ (no shared build structure)
+            or SPHJ over a too-sparse domain.
+        """
+        build_keys = np.ascontiguousarray(build_keys, dtype=np.int64)
+        rows = build_keys.size
+        state: dict = {"algorithm": algorithm.value}
+        counts = None
+        if algorithm is JoinAlgorithm.HJ:
+            table = OpenAddressingHashTable(
+                num_distinct_hint or rows, hash_name=hash_name
+            )
+            slots = table.build(build_keys)
+            state["table"] = table.state()
+            num_slots = distinct = table.num_keys
+        elif algorithm is JoinAlgorithm.SPHJ:
+            sph, slots, counts = StaticPerfectHash.occupancy(
+                build_keys, min_density
+            )
+            state.update(min_key=sph.min_key, num_slots=sph.num_slots)
+            num_slots, distinct = sph.num_slots, sph.num_distinct
+        elif algorithm is JoinAlgorithm.BSJ:
+            # The sort already groups rows by key: slot s is the s-th
+            # distinct key, its rows a run of the stable sort order.
+            order = np.argsort(build_keys, kind="stable")
+            sorted_keys = build_keys[order]
+            starts = np.flatnonzero(
+                np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+            )
+            state["distinct"] = sorted_keys[starts]
+            if starts.size == rows:
+                state["row_of_slot"] = np.append(order, -1)
+            else:
+                state.update(
+                    offsets=starts,
+                    counts=np.diff(starts, append=rows),
+                    grouped=order,
+                )
+            return cls(state)
+        else:
+            raise PreconditionError(
+                f"{algorithm.value!r} has no build structure to probe"
+            )
+        if distinct == rows:
+            row_of_slot = np.full(num_slots + 1, -1, dtype=np.int64)
+            row_of_slot[slots] = np.arange(rows, dtype=np.int64)
+            state["row_of_slot"] = row_of_slot
+        else:
+            if counts is None:
+                counts = np.bincount(slots, minlength=num_slots)
+            state.update(
+                offsets=np.cumsum(counts) - counts,
+                counts=counts,
+                grouped=np.argsort(slots, kind="stable"),
+            )
+        return cls(state)
+
+    @property
+    def structure_bytes(self) -> int:
+        """Bytes of every array in the structure (Table 2's footprint)."""
+        arrays = [*self.state.values(), *self.state.get("table", {}).values()]
+        return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+
+    def slots(self, keys: np.ndarray) -> np.ndarray:
+        """Each probe key's build slot; -1 where no build key matches."""
+        if self._table is not None:
+            return self._table.probe(keys)
+        if self.algorithm is JoinAlgorithm.SPHJ:
+            raw = keys - np.int64(self.state["min_key"])
+            # One unsigned compare bounds both ends (negatives wrap high).
+            in_domain = raw.view(np.uint64) < self.state["num_slots"]
+            return np.where(in_domain, raw, -1)
+        distinct = self.state["distinct"]
+        position = np.searchsorted(distinct, keys)
+        found = distinct[np.minimum(position, distinct.size - 1)] == keys
+        return np.where(found, position, -1)
+
+    def probe(
+        self, keys: np.ndarray, offset: int = 0
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Match one probe shard starting at probe row ``offset``:
+        ``(build rows, probe rows)``, probe-major."""
+        slots = self.slots(np.ascontiguousarray(keys, dtype=np.int64))
+        state = self.state
+        if "row_of_slot" in state:
+            rows = state["row_of_slot"][slots]
+            right = np.flatnonzero(rows >= 0)
+            left = rows[right]
+        else:
+            right = np.flatnonzero(slots >= 0)
+            hit = slots[right]
+            positions, right = _expand_runs(
+                right, state["offsets"][hit], state["counts"][hit]
+            )
+            left = state["grouped"][positions]
+        return left, right + np.int64(offset)
+
+    def result(self, parts: list[tuple[np.ndarray, np.ndarray]]) -> JoinResult:
+        """Concatenate probe-shard outputs, in probe order, into one result."""
+        left, right = (
+            parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        )
+        return JoinResult(
+            left.astype(np.int64, copy=False),
+            right.astype(np.int64, copy=False),
+            JoinOutputOrder.PROBE_ORDER,
+            structure_bytes=self.structure_bytes,
+        )
+
+
+def _probe_join(
+    algorithm: JoinAlgorithm,
+    build_keys: np.ndarray,
+    probe_keys: np.ndarray,
+    **build_options,
+) -> JoinResult:
+    """Serial HJ/SPHJ/BSJ: one build, one probe of the whole probe side."""
+    if len(build_keys) == 0 or len(probe_keys) == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return JoinResult(empty, empty.copy(), JoinOutputOrder.PROBE_ORDER)
+    build = JoinBuild.build(algorithm, build_keys, **build_options)
+    return build.result([build.probe(probe_keys)])
 
 
 def hash_join(
@@ -138,22 +278,12 @@ def hash_join(
     Output preserves probe order — the property Figure 5's 2.8x case rests
     on (DESIGN.md substitution #5a).
     """
-    build_keys = np.ascontiguousarray(build_keys, dtype=np.int64)
-    probe_keys = np.ascontiguousarray(probe_keys, dtype=np.int64)
-    if build_keys.size == 0 or probe_keys.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return JoinResult(empty, empty.copy(), JoinOutputOrder.PROBE_ORDER)
-    capacity = num_distinct_hint if num_distinct_hint else int(build_keys.size)
-    table = OpenAddressingHashTable(capacity, hash_name=hash_name)
-    build_slots = table.build(build_keys)
-    offsets, counts, grouped = _group_build_rows(build_slots, table.num_keys)
-    probe_slots = table.probe(probe_keys)
-    left, right = _expand_matches(probe_slots, offsets, counts, grouped)
-    structure = table.memory_bytes() + int(
-        offsets.nbytes + counts.nbytes + grouped.nbytes
-    )
-    return JoinResult(
-        left, right, JoinOutputOrder.PROBE_ORDER, structure_bytes=structure
+    return _probe_join(
+        JoinAlgorithm.HJ,
+        build_keys,
+        probe_keys,
+        num_distinct_hint=num_distinct_hint,
+        hash_name=hash_name,
     )
 
 
@@ -169,23 +299,8 @@ def perfect_hash_join(
 
     :raises PreconditionError: when the build-side domain is too sparse.
     """
-    build_keys = np.ascontiguousarray(build_keys, dtype=np.int64)
-    probe_keys = np.ascontiguousarray(probe_keys, dtype=np.int64)
-    if build_keys.size == 0 or probe_keys.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return JoinResult(empty, empty.copy(), JoinOutputOrder.PROBE_ORDER)
-    sph = StaticPerfectHash.for_keys(build_keys, min_density=min_density)
-    build_slots = np.asarray(sph.slot(build_keys))
-    offsets, counts, grouped = _group_build_rows(build_slots, sph.num_slots)
-    raw = probe_keys - np.int64(sph.min_key)
-    in_domain = (raw >= 0) & (raw < sph.num_slots)
-    probe_slots = np.where(in_domain, raw, -1)
-    left, right = _expand_matches(probe_slots, offsets, counts, grouped)
-    structure = sph.memory_bytes() + int(
-        offsets.nbytes + counts.nbytes + grouped.nbytes
-    )
-    return JoinResult(
-        left, right, JoinOutputOrder.PROBE_ORDER, structure_bytes=structure
+    return _probe_join(
+        JoinAlgorithm.SPHJ, build_keys, probe_keys, min_density=min_density
     )
 
 
@@ -211,19 +326,9 @@ def merge_join(
     # For each right row, its matching left range [lo, hi).
     lo = np.searchsorted(left_keys, right_keys, side="left")
     hi = np.searchsorted(left_keys, right_keys, side="right")
-    lengths = (hi - lo).astype(np.int64)
-    total = int(lengths.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return JoinResult(empty, empty.copy(), JoinOutputOrder.KEY_SORTED)
-    right_out = np.repeat(
-        np.arange(right_keys.size, dtype=np.int64), lengths
+    left_out, right_out = _expand_runs(
+        np.arange(right_keys.size, dtype=np.int64), lo, hi - lo
     )
-    boundaries = np.cumsum(lengths)
-    ranks = np.arange(total, dtype=np.int64) - np.repeat(
-        boundaries - lengths, lengths
-    )
-    left_out = np.repeat(lo, lengths) + ranks
     # Right keys are sorted, so probe-major expansion IS key order here.
     return JoinResult(
         left_out.astype(np.int64),
@@ -257,34 +362,7 @@ def binary_search_join(
 ) -> JoinResult:
     """BSJ: sorted array on the build side, binary-search each probe
     (Table 2's BSJ). Output preserves probe order."""
-    build_keys = np.ascontiguousarray(build_keys, dtype=np.int64)
-    probe_keys = np.ascontiguousarray(probe_keys, dtype=np.int64)
-    if build_keys.size == 0 or probe_keys.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return JoinResult(empty, empty.copy(), JoinOutputOrder.PROBE_ORDER)
-    build_order = np.argsort(build_keys, kind="stable")
-    sorted_build = build_keys[build_order]
-    lo = np.searchsorted(sorted_build, probe_keys, side="left")
-    hi = np.searchsorted(sorted_build, probe_keys, side="right")
-    lengths = (hi - lo).astype(np.int64)
-    total = int(lengths.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return JoinResult(empty, empty.copy(), JoinOutputOrder.PROBE_ORDER)
-    probe_out = np.repeat(np.arange(probe_keys.size, dtype=np.int64), lengths)
-    boundaries = np.cumsum(lengths)
-    ranks = np.arange(total, dtype=np.int64) - np.repeat(
-        boundaries - lengths, lengths
-    )
-    left_out = build_order[np.repeat(lo, lengths) + ranks]
-    return JoinResult(
-        left_out.astype(np.int64),
-        probe_out,
-        JoinOutputOrder.PROBE_ORDER,
-        structure_bytes=int(
-            build_order.nbytes + sorted_build.nbytes + lo.nbytes + hi.nbytes
-        ),
-    )
+    return _probe_join(JoinAlgorithm.BSJ, build_keys, probe_keys)
 
 
 def join(

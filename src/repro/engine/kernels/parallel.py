@@ -31,16 +31,14 @@ from repro.engine.kernels.grouping import (
 )
 from repro.engine.kernels.joins import (
     JoinAlgorithm,
+    JoinBuild,
     JoinOutputOrder,
     JoinResult,
-    _expand_matches,
-    _group_build_rows,
     join,
 )
 from repro.engine.parallel import morsel_boundaries, run_morsels
 from repro.errors import PreconditionError
-from repro.indexes.hash_table import OpenAddressingHashTable, murmur3_finalizer
-from repro.indexes.perfect_hash import StaticPerfectHash
+from repro.indexes.hash_table import murmur3_finalizer
 
 #: join algorithms whose probe phase shards safely: the build structure is
 #: read-only during probing and output is probe-major, so concatenating
@@ -161,14 +159,16 @@ def parallel_join(
     num_distinct_hint: int | None = None,
     workers: int | None = None,
     on_report=None,
+    backend: str = "thread",
 ) -> JoinResult:
     """Shared-build, sharded-probe join: the morsel-parallel join form.
 
-    The build side's structure (hash table / SPH array / sorted array)
-    is erected once on the calling thread; probe morsels then scan it
-    read-only in parallel. Because HJ/SPHJ/BSJ expand matches
-    probe-major, concatenating the shard outputs in shard order yields
-    exactly the serial kernel's output.
+    The build side's :class:`~repro.engine.kernels.joins.JoinBuild` is
+    erected once on the calling thread; probe morsels then read it in
+    parallel, on worker threads or (``backend="process"``) on the process
+    pool, which probes the structure's arrays in shared memory. Because
+    the probes are probe-major, concatenating the shard outputs in shard
+    order yields exactly the serial kernel's output.
 
     OJ and SOJ merge both inputs in lockstep — there is no read-only
     shared structure to probe — so they fall back to the serial kernel.
@@ -181,102 +181,34 @@ def parallel_join(
     """
     if shards < 1:
         raise PreconditionError(f"shards must be >= 1, got {shards}")
-    if algorithm not in PARALLEL_PROBE_ALGORITHMS:
+    if (
+        algorithm not in PARALLEL_PROBE_ALGORITHMS
+        or shards == 1
+        or len(build_keys) == 0
+        or len(probe_keys) == 0
+    ):
         return join(
             build_keys,
             probe_keys,
             algorithm,
             num_distinct_hint=num_distinct_hint,
         )
-    build_keys = np.ascontiguousarray(build_keys, dtype=np.int64)
     probe_keys = np.ascontiguousarray(probe_keys, dtype=np.int64)
-    if shards == 1 or build_keys.size == 0 or probe_keys.size == 0:
-        return join(
-            build_keys,
-            probe_keys,
-            algorithm,
-            num_distinct_hint=num_distinct_hint,
-        )
-
-    if algorithm is JoinAlgorithm.HJ:
-        capacity = (
-            num_distinct_hint if num_distinct_hint else int(build_keys.size)
-        )
-        table = OpenAddressingHashTable(capacity, hash_name="murmur3")
-        build_slots = table.build(build_keys)
-        offsets, counts, grouped = _group_build_rows(
-            build_slots, table.num_keys
-        )
-        structure = table.memory_bytes() + int(
-            offsets.nbytes + counts.nbytes + grouped.nbytes
-        )
-
-        def probe_slots_of(shard: np.ndarray) -> np.ndarray:
-            return table.probe(shard)
-
-    elif algorithm is JoinAlgorithm.SPHJ:
-        sph = StaticPerfectHash.for_keys(build_keys, min_density=0.5)
-        build_slots = np.asarray(sph.slot(build_keys))
-        offsets, counts, grouped = _group_build_rows(
-            build_slots, sph.num_slots
-        )
-        structure = sph.memory_bytes() + int(
-            offsets.nbytes + counts.nbytes + grouped.nbytes
-        )
-
-        def probe_slots_of(shard: np.ndarray) -> np.ndarray:
-            raw = shard - np.int64(sph.min_key)
-            in_domain = (raw >= 0) & (raw < sph.num_slots)
-            return np.where(in_domain, raw, -1)
-
-    else:  # BSJ: a sorted copy of the build keys is the shared structure.
-        build_order = np.argsort(build_keys, kind="stable")
-        sorted_build = build_keys[build_order]
-        structure = int(build_order.nbytes + sorted_build.nbytes)
-
-    def probe_shard(start: int, stop: int):
-        shard = probe_keys[start:stop]
-        if algorithm is JoinAlgorithm.BSJ:
-            lo = np.searchsorted(sorted_build, shard, side="left")
-            hi = np.searchsorted(sorted_build, shard, side="right")
-            lengths = (hi - lo).astype(np.int64)
-            total = int(lengths.sum())
-            if total == 0:
-                empty = np.empty(0, dtype=np.int64)
-                return empty, empty.copy()
-            probe_out = np.repeat(
-                np.arange(shard.size, dtype=np.int64), lengths
-            )
-            boundaries = np.cumsum(lengths)
-            ranks = np.arange(total, dtype=np.int64) - np.repeat(
-                boundaries - lengths, lengths
-            )
-            left = build_order[np.repeat(lo, lengths) + ranks]
-        else:
-            left, probe_out = _expand_matches(
-                probe_slots_of(shard), offsets, counts, grouped
-            )
-        return left.astype(np.int64), probe_out + np.int64(start)
-
+    build = JoinBuild.build(algorithm, build_keys, num_distinct_hint)
     bounds = morsel_boundaries(probe_keys.size, shards)
-    tasks = [
-        (lambda s=start, e=stop: probe_shard(s, e)) for start, stop in bounds
-    ]
-    report = run_morsels(tasks, workers=workers)
+    if backend == "process":
+        from repro.engine.procpool import probe_on_processes
+
+        report = probe_on_processes(build, probe_keys, bounds, workers)
+    else:
+        tasks = [
+            (lambda s=start, e=stop: build.probe(probe_keys[s:e], s))
+            for start, stop in bounds
+        ]
+        report = run_morsels(tasks, workers=workers)
     if on_report is not None:
         on_report(report)
-    left_parts = [left for left, __ in report.results]
-    right_parts = [right for __, right in report.results]
-    return JoinResult(
-        left_indices=np.concatenate(left_parts)
-        if left_parts
-        else np.empty(0, dtype=np.int64),
-        right_indices=np.concatenate(right_parts)
-        if right_parts
-        else np.empty(0, dtype=np.int64),
-        output_order=JoinOutputOrder.PROBE_ORDER,
-        structure_bytes=structure,
-    )
+    return build.result(report.results)
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,7 @@ from repro.engine.aggregates import (
 from repro.engine.kernels.grouping import (
     GroupingAlgorithm,
     KeyOrder,
-    binary_search_slots,
-    hash_slots,
-    order_slots,
-    perfect_hash_slots,
-    sort_order_slots,
+    assign_slots,
 )
 from repro.engine.operators.base import (
     DEFAULT_CHUNK_SIZE,
@@ -246,19 +242,12 @@ class GroupBy(PhysicalOperator):
         if shards > 1 and table.num_rows:
             yield from self._sharded_chunks(table, shards)
             return
-        keys = table[self._key]
-        if self._algorithm is GroupingAlgorithm.HG:
-            assignment = hash_slots(keys, self._num_distinct_hint)
-        elif self._algorithm is GroupingAlgorithm.SPHG:
-            assignment = perfect_hash_slots(keys)
-        elif self._algorithm is GroupingAlgorithm.OG:
-            assignment = order_slots(keys, validate=self._validate)
-        elif self._algorithm is GroupingAlgorithm.SOG:
-            assignment = sort_order_slots(keys)
-        elif self._algorithm is GroupingAlgorithm.BSG:
-            assignment = binary_search_slots(keys)
-        else:
-            raise ExecutionError(f"unknown algorithm {self._algorithm!r}")
+        assignment = assign_slots(
+            table[self._key],
+            self._algorithm,
+            self._num_distinct_hint,
+            self._validate,
+        )
         key_dtype = self.output_schema[self._key].dtype
         data: dict[str, np.ndarray] = {
             self._key: assignment.group_keys.astype(key_dtype.numpy_dtype)

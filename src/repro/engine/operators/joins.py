@@ -12,15 +12,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.engine.kernels.joins import (
-    JoinAlgorithm,
-    JoinOutputOrder,
-    binary_search_join,
-    hash_join,
-    merge_join,
-    perfect_hash_join,
-    sort_merge_join,
-)
+from repro.engine.kernels.joins import JoinAlgorithm, JoinOutputOrder, join
 from repro.engine.kernels.parallel import (
     EXCHANGE_JOIN_ALGORITHMS,
     PARALLEL_PROBE_ALGORITHMS,
@@ -175,17 +167,6 @@ class Join(PhysicalOperator):
                 backend=backend,
                 on_report=note,
             )
-        elif shards > 1 and backend == "process":
-            from repro.engine.procpool import process_join
-
-            result = process_join(
-                build_keys,
-                probe_keys,
-                self._algorithm,
-                shards=shards,
-                num_distinct_hint=self._num_distinct_hint,
-                on_report=note,
-            )
         elif shards > 1:
             result = parallel_join(
                 build_keys,
@@ -194,19 +175,16 @@ class Join(PhysicalOperator):
                 shards=shards,
                 num_distinct_hint=self._num_distinct_hint,
                 on_report=note,
+                backend=backend,
             )
-        elif self._algorithm is JoinAlgorithm.HJ:
-            result = hash_join(build_keys, probe_keys, self._num_distinct_hint)
-        elif self._algorithm is JoinAlgorithm.SPHJ:
-            result = perfect_hash_join(build_keys, probe_keys)
-        elif self._algorithm is JoinAlgorithm.OJ:
-            result = merge_join(build_keys, probe_keys, validate=self._validate)
-        elif self._algorithm is JoinAlgorithm.SOJ:
-            result = sort_merge_join(build_keys, probe_keys)
-        elif self._algorithm is JoinAlgorithm.BSJ:
-            result = binary_search_join(build_keys, probe_keys)
         else:
-            raise ExecutionError(f"unknown algorithm {self._algorithm!r}")
+            result = join(
+                build_keys,
+                probe_keys,
+                self._algorithm,
+                num_distinct_hint=self._num_distinct_hint,
+                validate=self._validate,
+            )
         data: dict[str, np.ndarray] = {}
         for name in left_table.schema.names:
             data[name] = left_table[name][result.left_indices]

@@ -34,8 +34,8 @@ Pieces:
 * :func:`process_group_by` / :func:`process_join` — the process twins of
   the thread kernels in :mod:`repro.engine.kernels.parallel`, bit-identical
   to them and to the serial kernels. Joins are shared-build: the parent
-  erects the hash table / SPH domain / sorted build once, publishes its
-  arrays, and all workers probe the one shared structure.
+  erects the :class:`~repro.engine.kernels.joins.JoinBuild` once,
+  publishes its arrays, and all workers probe the one shared structure.
 
 Deadline and cancellation granularity is the task, exactly as the thread
 backend polls per morsel: a task already running is never interrupted,
@@ -371,49 +371,10 @@ def _task_rebuild_specs(payload: dict):
 def _task_probe(payload: dict):
     """Probe one shard of the probe side against the shared build
     structure (the sharded-probe half of the process parallel join)."""
-    from repro.engine.kernels.joins import JoinAlgorithm, _expand_matches
-    from repro.indexes.hash_table import OpenAddressingHashTable
+    from repro.engine.kernels.joins import JoinBuild
 
-    algorithm = JoinAlgorithm(payload["algorithm"])
     start, stop = payload["start"], payload["stop"]
-    shard = payload["probe"][start:stop]
-    if algorithm is JoinAlgorithm.BSJ:
-        sorted_build = payload["sorted_build"]
-        build_order = payload["build_order"]
-        lo = np.searchsorted(sorted_build, shard, side="left")
-        hi = np.searchsorted(sorted_build, shard, side="right")
-        lengths = (hi - lo).astype(np.int64)
-        total = int(lengths.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return {"left": empty, "right": empty.copy()}
-        probe_out = np.repeat(np.arange(shard.size, dtype=np.int64), lengths)
-        boundaries = np.cumsum(lengths)
-        ranks = np.arange(total, dtype=np.int64) - np.repeat(
-            boundaries - lengths, lengths
-        )
-        left = build_order[np.repeat(lo, lengths) + ranks]
-    else:
-        if algorithm is JoinAlgorithm.HJ:
-            table = OpenAddressingHashTable.from_state(
-                payload["hash_name"],
-                payload["bucket_keys"],
-                payload["bucket_slots"],
-                payload["slot_keys"],
-                payload["num_slots"],
-            )
-            slots = table.probe(shard)
-        else:  # SPHJ: the domain offsets are the whole structure.
-            raw = shard - np.int64(payload["min_key"])
-            in_domain = (raw >= 0) & (raw < payload["num_slots"])
-            slots = np.where(in_domain, raw, -1)
-        left, probe_out = _expand_matches(
-            slots, payload["offsets"], payload["counts"], payload["grouped"]
-        )
-    return {
-        "left": left.astype(np.int64),
-        "right": probe_out + np.int64(start),
-    }
+    return JoinBuild(payload["build"]).probe(payload["probe"][start:stop], start)
 
 
 def _task_join_partition(payload: dict):
@@ -872,6 +833,32 @@ def process_group_by(
     return merge_partials(partials)
 
 
+def _publish_tree(store: SharedColumnStore, payload):
+    """``payload`` with every array leaf of its nested dicts published."""
+    if isinstance(payload, np.ndarray):
+        return store.publish(payload)
+    if isinstance(payload, dict):
+        return {key: _publish_tree(store, value) for key, value in payload.items()}
+    return payload
+
+
+def probe_on_processes(build, probe_keys: np.ndarray, bounds, workers=None):
+    """Probe ``probe_keys[start:stop]`` for each of ``bounds`` on the pool.
+
+    ``build`` (a :class:`~repro.engine.kernels.joins.JoinBuild`) is
+    published once; every worker probes the same shared-memory structure.
+    The caller keeps ``build`` alive, and with it the published arrays,
+    for the whole batch. Results are ``(left, right)`` per bound.
+    """
+    store = get_shared_store()
+    shared = {
+        "build": _publish_tree(store, build.state),
+        "probe": store.publish(probe_keys),
+    }
+    tasks = [("probe", {**shared, "start": start, "stop": stop}) for start, stop in bounds]
+    return run_process_tasks(tasks, workers=workers)
+
+
 def process_join(
     build_keys: np.ndarray,
     probe_keys: np.ndarray,
@@ -881,103 +868,18 @@ def process_join(
     workers: int | None = None,
     on_report=None,
 ):
-    """Shared-build, sharded-probe join on the process pool.
+    """Shared-build, sharded-probe join on the process pool:
+    :func:`repro.engine.kernels.parallel.parallel_join` with its probes
+    on worker processes, bit-identical to the serial and thread kernels."""
+    from repro.engine.kernels.parallel import parallel_join
 
-    The parent erects the build structure once and publishes its arrays;
-    every worker probes the *same* shared-memory structure. Output is
-    probe-major in shard order — bit-identical to the serial and thread
-    kernels.
-    """
-    from repro.engine.kernels.joins import (
-        JoinAlgorithm,
-        JoinOutputOrder,
-        JoinResult,
-        _group_build_rows,
-        join,
-    )
-    from repro.engine.kernels.parallel import PARALLEL_PROBE_ALGORITHMS
-    from repro.indexes.hash_table import OpenAddressingHashTable
-    from repro.indexes.perfect_hash import StaticPerfectHash
-
-    build_keys = np.ascontiguousarray(build_keys, dtype=np.int64)
-    probe_keys = np.ascontiguousarray(probe_keys, dtype=np.int64)
-    if (
-        algorithm not in PARALLEL_PROBE_ALGORITHMS
-        or shards <= 1
-        or build_keys.size == 0
-        or probe_keys.size == 0
-    ):
-        return join(
-            build_keys, probe_keys, algorithm, num_distinct_hint=num_distinct_hint
-        )
-    store = get_shared_store()
-    probe_ref = store.publish(probe_keys)
-    base: dict = {"algorithm": algorithm.value, "probe": probe_ref}
-    if algorithm is JoinAlgorithm.HJ:
-        capacity = num_distinct_hint if num_distinct_hint else int(build_keys.size)
-        table = OpenAddressingHashTable(capacity, hash_name="murmur3")
-        build_slots = table.build(build_keys)
-        offsets, counts, grouped = _group_build_rows(build_slots, table.num_keys)
-        # Keep the structure arrays referenced for the whole batch: their
-        # finalizers release the segments when this frame ends.
-        bucket_keys = np.ascontiguousarray(table._bucket_keys)
-        bucket_slots = np.ascontiguousarray(table._bucket_slots)
-        slot_keys = np.ascontiguousarray(table._slot_keys[: table.num_keys])
-        base.update(
-            hash_name="murmur3",
-            num_slots=table.num_keys,
-            bucket_keys=store.publish(bucket_keys),
-            bucket_slots=store.publish(bucket_slots),
-            slot_keys=store.publish(slot_keys),
-            offsets=store.publish(offsets),
-            counts=store.publish(counts),
-            grouped=store.publish(grouped),
-        )
-        structure = table.memory_bytes() + int(
-            offsets.nbytes + counts.nbytes + grouped.nbytes
-        )
-        keepalive = (bucket_keys, bucket_slots, slot_keys, offsets, counts, grouped)
-    elif algorithm is JoinAlgorithm.SPHJ:
-        sph = StaticPerfectHash.for_keys(build_keys, min_density=0.5)
-        build_slots = np.asarray(sph.slot(build_keys))
-        offsets, counts, grouped = _group_build_rows(build_slots, sph.num_slots)
-        base.update(
-            min_key=int(sph.min_key),
-            num_slots=int(sph.num_slots),
-            offsets=store.publish(offsets),
-            counts=store.publish(counts),
-            grouped=store.publish(grouped),
-        )
-        structure = sph.memory_bytes() + int(
-            offsets.nbytes + counts.nbytes + grouped.nbytes
-        )
-        keepalive = (offsets, counts, grouped)
-    else:  # BSJ
-        build_order = np.argsort(build_keys, kind="stable")
-        sorted_build = build_keys[build_order]
-        base.update(
-            sorted_build=store.publish(sorted_build),
-            build_order=store.publish(build_order),
-        )
-        structure = int(build_order.nbytes + sorted_build.nbytes)
-        keepalive = (build_order, sorted_build)
-    tasks = [
-        ("probe", {**base, "start": start, "stop": stop})
-        for start, stop in morsel_boundaries(probe_keys.size, shards)
-    ]
-    report = run_process_tasks(tasks, workers=workers)
-    if on_report is not None:
-        on_report(report)
-    del keepalive
-    left_parts = [r["left"] for r in report.results]
-    right_parts = [r["right"] for r in report.results]
-    return JoinResult(
-        left_indices=np.concatenate(left_parts)
-        if left_parts
-        else np.empty(0, dtype=np.int64),
-        right_indices=np.concatenate(right_parts)
-        if right_parts
-        else np.empty(0, dtype=np.int64),
-        output_order=JoinOutputOrder.PROBE_ORDER,
-        structure_bytes=structure,
+    return parallel_join(
+        build_keys,
+        probe_keys,
+        algorithm,
+        shards=max(shards, 1),
+        num_distinct_hint=num_distinct_hint,
+        workers=workers,
+        on_report=on_report,
+        backend="process",
     )

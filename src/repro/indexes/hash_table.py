@@ -184,7 +184,8 @@ class OpenAddressingHashTable:
     :param hash_name: one of :data:`HASH_FUNCTIONS`.
     """
 
-    #: sentinel marking an empty bucket.
+    #: sentinel marking an empty bucket in the *slot* array. Every int64
+    #: is a valid key, so emptiness is never read from the key array.
     _EMPTY = np.int64(-1)
 
     def __init__(
@@ -204,6 +205,7 @@ class OpenAddressingHashTable:
                 f"unknown hash function {hash_name!r}; "
                 f"have {sorted(HASH_FUNCTIONS)}"
             )
+        self._hash_name = hash_name
         self._hash = HASH_FUNCTIONS[hash_name]
         buckets = 1
         while buckets * max_load < capacity_hint:
@@ -221,14 +223,13 @@ class OpenAddressingHashTable:
         bucket_keys: np.ndarray,
         bucket_slots: np.ndarray,
         slot_keys: np.ndarray,
-        num_slots: int,
     ) -> "OpenAddressingHashTable":
-        """Reassemble a built table around existing arrays without copying.
+        """Reassemble a built table from its :meth:`state` without copying.
 
-        Process workers use this to probe a build side whose bucket and
-        slot arrays live in shared memory: the parent builds once, ships
-        the array views, and every worker probes the same physical table.
-        The arrays are used as-is (they may be read-only views).
+        Process workers use this to probe a build side whose arrays live
+        in shared memory: the parent builds once, ships the array views,
+        and every worker probes the same physical table. The arrays are
+        used as-is (they may be read-only views).
         """
         if hash_name not in HASH_FUNCTIONS:
             raise IndexError_(
@@ -236,13 +237,23 @@ class OpenAddressingHashTable:
                 f"have {sorted(HASH_FUNCTIONS)}"
             )
         table = cls.__new__(cls)
+        table._hash_name = hash_name
         table._hash = HASH_FUNCTIONS[hash_name]
         table._mask = np.uint64(bucket_keys.size - 1)
         table._bucket_keys = bucket_keys
         table._bucket_slots = bucket_slots
         table._slot_keys = slot_keys
-        table._num_slots = int(num_slots)
+        table._num_slots = int(slot_keys.size)
         return table
+
+    def state(self) -> dict:
+        """The hash name and arrays :meth:`from_state` reassembles."""
+        return {
+            "hash_name": self._hash_name,
+            "bucket_keys": self._bucket_keys,
+            "bucket_slots": self._bucket_slots,
+            "slot_keys": self._slot_keys[: self._num_slots],
+        }
 
     @property
     def num_buckets(self) -> int:
@@ -293,14 +304,12 @@ class OpenAddressingHashTable:
                     f"hint ({self._slot_keys.size})"
                 )
             pos = positions[pending]
-            occupant = self._bucket_keys[pos]
+            occupant_slot = self._bucket_slots[pos]
+            empty = occupant_slot == self._EMPTY
             # Case 1: bucket already holds this row's key -> resolve.
-            matches = occupant == keys[pending]
-            if np.any(matches):
-                rows = pending[matches]
-                slots[rows] = self._bucket_slots[positions[rows]]
+            matches = (self._bucket_keys[pos] == keys[pending]) & ~empty
+            slots[pending[matches]] = occupant_slot[matches]
             # Case 2: bucket occupied by a different key -> advance (probe).
-            empty = occupant == self._EMPTY
             mismatches = pending[~matches & ~empty]
             # Case 3: bucket empty -> try to claim. Multiple rows may race
             # for one bucket within a round; scatter-then-check arbitrates:
@@ -351,11 +360,10 @@ class OpenAddressingHashTable:
             if not pending.size:
                 break
             pos = positions[pending]
-            occupant = self._bucket_keys[pos]
-            matches = occupant == keys[pending]
-            misses = occupant == self._EMPTY
-            rows = pending[matches]
-            slots[rows] = self._bucket_slots[positions[rows]]
+            occupant_slot = self._bucket_slots[pos]
+            misses = occupant_slot == self._EMPTY
+            matches = (self._bucket_keys[pos] == keys[pending]) & ~misses
+            slots[pending[matches]] = occupant_slot[matches]
             # Missing keys resolve to -1 (already initialised); drop them.
             continuing = pending[~matches & ~misses]
             positions[continuing] = (

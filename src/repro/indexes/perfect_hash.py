@@ -19,6 +19,19 @@ import numpy as np
 from repro.errors import PreconditionError
 
 
+def _require_dense(
+    count: int, domain_size: int, min_density: float, detail: str
+) -> None:
+    """The density guard: ``count / domain_size >= min_density``, in
+    Python ints so no domain (not even ``[int64.min, int64.max]``) can
+    overflow it."""
+    if count < min_density * domain_size:
+        raise PreconditionError(
+            "static perfect hashing requires a dense key domain: density "
+            f"{count / domain_size:.4f} < required {min_density:.4f} ({detail})"
+        )
+
+
 class StaticPerfectHash:
     """A (minimal when dense) static perfect hash over ``[min_key, max_key]``.
 
@@ -49,13 +62,12 @@ class StaticPerfectHash:
                     f"num_distinct ({num_distinct}) exceeds domain size "
                     f"({domain_size})"
                 )
-            density = num_distinct / domain_size
-            if density < min_density:
-                raise PreconditionError(
-                    "static perfect hashing requires a dense key domain: "
-                    f"density {density:.4f} < required {min_density:.4f} "
-                    f"(domain [{min_key}, {max_key}], {num_distinct} distinct)"
-                )
+            _require_dense(
+                num_distinct,
+                domain_size,
+                min_density,
+                f"domain [{min_key}, {max_key}], {num_distinct} distinct",
+            )
         self._min_key = min_key
         self._max_key = max_key
         self._num_distinct = num_distinct
@@ -80,6 +92,11 @@ class StaticPerfectHash:
         per domain slot (§2.1: "an array of groups of tuples ... the
         grouping key then serves as the index into that array")."""
         return self.num_slots * 8
+
+    @property
+    def num_distinct(self) -> int | None:
+        """Distinct keys occurring, when known."""
+        return self._num_distinct
 
     @property
     def is_minimal(self) -> bool:
@@ -114,16 +131,53 @@ class StaticPerfectHash:
         return np.asarray(slots, dtype=np.int64) + np.int64(self._min_key)
 
     @classmethod
+    def occupancy(
+        cls,
+        keys: np.ndarray,
+        min_density: float = 0.5,
+        min_key: int | None = None,
+        max_key: int | None = None,
+    ) -> tuple["StaticPerfectHash", np.ndarray, np.ndarray]:
+        """Build an SPH over ``keys`` and count each slot's keys, without
+        sorting: one scan for min/max, one ``bincount`` over the domain.
+
+        The density guard first runs on ``len(keys) / domain``, before any
+        allocation (sound: distinct <= rows), so a sparse or int64-wide
+        domain fails typed instead of being allocated; it then runs on
+        the NDV, the number of occupied slots.
+
+        :param min_key: domain lower bound; measured from ``keys`` if None.
+        :param max_key: domain upper bound; measured from ``keys`` if None.
+        :returns: ``(sph, slots, counts)``: each key's slot and each
+            slot's key count (``sph.num_distinct == len(keys)`` iff the
+            keys are unique).
+        :raises PreconditionError: on no keys and no domain, a key outside
+            an explicit domain, or a too-sparse domain.
+        """
+        keys = np.ascontiguousarray(keys, dtype=np.int64)
+        if keys.size == 0 and None in (min_key, max_key):
+            raise PreconditionError("cannot build an SPH over no keys")
+        bounded = (min_key, max_key) != (None, None)
+        min_key = int(keys.min()) if min_key is None else int(min_key)
+        max_key = int(keys.max()) if max_key is None else int(max_key)
+        sph = cls(min_key, max_key)
+        _require_dense(
+            int(keys.size),
+            sph.num_slots,
+            min_density,
+            f"domain [{min_key}, {max_key}], {keys.size} keys",
+        )
+        slots = sph.slot_checked(keys) if bounded else sph.slot(keys)
+        counts = np.bincount(slots, minlength=sph.num_slots)
+        num_distinct = int(np.count_nonzero(counts))
+        return cls(min_key, max_key, num_distinct, min_density), slots, counts
+
+    @classmethod
     def for_keys(
         cls, keys: np.ndarray, min_density: float = 0.5
     ) -> "StaticPerfectHash":
-        """Build an SPH for the observed ``keys`` (one scan for min/max/NDV).
+        """Build an SPH for the observed ``keys`` (see :meth:`occupancy`).
 
         :raises PreconditionError: if ``keys`` is empty or too sparse.
         """
-        if keys.size == 0:
-            raise PreconditionError("cannot build an SPH over no keys")
-        min_key = int(keys.min())
-        max_key = int(keys.max())
-        num_distinct = int(np.unique(keys).size)
-        return cls(min_key, max_key, num_distinct, min_density)
+        return cls.occupancy(keys, min_density)[0]

@@ -24,7 +24,8 @@ class Table:
     prepared :class:`Column` objects. All columns must have equal length.
     """
 
-    __slots__ = ("_columns", "_schema", "_num_rows")
+    # __weakref__ lets per-table caches die with their table.
+    __slots__ = ("_columns", "_schema", "_num_rows", "__weakref__")
 
     def __init__(self, columns: Iterable[Column]) -> None:
         columns = tuple(columns)

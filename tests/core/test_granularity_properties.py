@@ -131,6 +131,22 @@ class TestCorrelations:
         # a -> id is NOT monotone (ties in a leave id order ambiguous but
         # stable argsort keeps it; duplicates make it still monotone here).
 
+    def test_correlation_cache_entry_dies_with_its_table(self):
+        import gc
+
+        from repro.core.properties import _CORRELATION_CACHE
+
+        table = Table.from_arrays({"id": np.arange(10), "a": np.arange(10)})
+        correlations_from_table(table, "R")
+        assert table in _CORRELATION_CACHE
+        before = len(_CORRELATION_CACHE)
+        del table
+        gc.collect()
+        assert len(_CORRELATION_CACHE) == before - 1
+        # A new table, even at a reused address, is detected afresh.
+        other = Table.from_arrays({"id": np.arange(10), "a": -np.arange(10)})
+        assert correlations_from_table(other, "R").pairs == frozenset()
+
     def test_properties_from_table(self):
         table = Table.from_arrays(
             {

@@ -72,6 +72,12 @@ class TestIndividualKernels:
         with pytest.raises(PreconditionError):
             perfect_hash_slots(np.empty(0, dtype=np.int64))
 
+    def test_hash_slots_key_minus_one_is_one_group(self):
+        keys = np.array([-1, 3, -1, -1])
+        result = group_by(keys, None, GroupingAlgorithm.HG).sorted_by_key()
+        assert list(result.keys) == [-1, 3]
+        assert list(result.counts) == [3, 1]
+
     def test_order_slots_on_sorted(self):
         keys = np.array([1, 1, 2, 5, 5, 5])
         assignment = order_slots(keys)
@@ -201,3 +207,40 @@ def test_kernels_agree_on_figure4_datasets(sortedness, density):
         assert np.array_equal(result.keys, reference.keys)
         assert np.array_equal(result.counts, reference.counts)
         assert np.array_equal(result.sums, reference.sums)
+
+
+class TestTypedPerfectHashFailures:
+    """SPHG fails typed on sparse and int64-wide domains, and groups an
+    empty input into zero groups (as SPHJ joins it into zero rows)."""
+
+    @pytest.mark.parametrize(
+        "keys",
+        [[0, 2**50], [np.iinfo(np.int64).min, np.iinfo(np.int64).max]],
+    )
+    def test_wide_domain_is_precondition_error(self, keys):
+        with pytest.raises(PreconditionError, match="dense"):
+            group_by(np.array(keys, dtype=np.int64), None, GroupingAlgorithm.SPHG)
+
+    def test_empty_input_is_zero_groups(self):
+        result = group_by(np.empty(0, dtype=np.int64), None, GroupingAlgorithm.SPHG)
+        assert result.num_groups == 0
+        assert result.key_order is KeyOrder.SORTED
+
+    def test_operator_on_empty_and_sparse_input(self):
+        from repro.engine.aggregates import AggregateFunction, AggregateSpec
+        from repro.engine.operators import GroupBy, TableScan
+        from repro.storage import Table
+
+        def run(keys):
+            table = Table.from_arrays({"K": np.array(keys, dtype=np.int64)})
+            return GroupBy(
+                TableScan(table),
+                key="K",
+                aggregates=[AggregateSpec(AggregateFunction.COUNT, None, "n")],
+                algorithm=GroupingAlgorithm.SPHG,
+                validate=True,
+            ).to_table()
+
+        assert run([]).num_rows == 0
+        with pytest.raises(PreconditionError, match="dense"):
+            run([0, 2**50])

@@ -95,6 +95,15 @@ class TestOpenAddressing:
         table.build(np.array([1, 2, 3]))
         assert list(table.probe(np.array([1, 99]))) == [0, -1]
 
+    def test_key_equal_to_the_empty_sentinel(self):
+        """-1 marks an empty bucket's slot, never a key: key -1 is one
+        ordinary group and probes find it."""
+        table = OpenAddressingHashTable(capacity_hint=4)
+        slots = table.build(np.array([-1, 5, -1]))
+        assert table.num_keys == 2
+        assert slots[0] == slots[2] >= 0
+        assert list(table.probe(np.array([-1, 5, 7]))) == [slots[0], slots[1], -1]
+
     def test_overflow_detected(self):
         table = OpenAddressingHashTable(capacity_hint=4)
         with pytest.raises(IndexError_, match="overflow"):

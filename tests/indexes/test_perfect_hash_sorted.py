@@ -58,6 +58,25 @@ class TestStaticPerfectHash:
         with pytest.raises(PreconditionError):
             StaticPerfectHash(0, 4, num_distinct=6)
 
+    def test_occupancy_counts_each_slot(self):
+        sph, slots, counts = StaticPerfectHash.occupancy(np.array([7, 5, 7, 8]))
+        assert (sph.min_key, sph.num_slots, sph.num_distinct) == (5, 4, 3)
+        assert list(slots) == [2, 0, 2, 3]
+        assert list(counts) == [1, 0, 2, 1]
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            [0, 2**50],
+            [np.iinfo(np.int64).min, np.iinfo(np.int64).max],
+            [np.iinfo(np.int64).min, 0],
+        ],
+    )
+    def test_wide_domains_rejected_before_allocation(self, keys):
+        """Typed failure, never MemoryError or OverflowError."""
+        with pytest.raises(PreconditionError, match="dense"):
+            StaticPerfectHash.for_keys(np.array(keys, dtype=np.int64))
+
 
 class TestSortedKeyIndex:
     def test_lookup_hits_and_misses(self):

@@ -19,9 +19,10 @@ import pytest
 
 from repro import (
     disable_plan_cache,
-    enable_plan_cache,
+    get_plan_cache,
     optimize_dqo,
     plan_query,
+    set_plan_cache,
 )
 from repro.datagen import Density, Sortedness, make_star_scenario
 from repro.datagen.star import DimensionSpec
@@ -55,9 +56,10 @@ def star_sql(star):
 
 @pytest.fixture
 def no_plan_cache():
+    previous = get_plan_cache()
     disable_plan_cache()
     yield
-    enable_plan_cache()
+    set_plan_cache(previous)
 
 
 class TestReplay:

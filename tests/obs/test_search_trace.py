@@ -13,9 +13,10 @@ import pytest
 
 from repro import (
     disable_plan_cache,
-    enable_plan_cache,
+    get_plan_cache,
     optimize_dqo,
     plan_query,
+    set_plan_cache,
 )
 from repro.core.cost.cardinality import RelationEstimate
 from repro.core.optimizer.pruning import DPEntry
@@ -44,6 +45,7 @@ def make_entry(cost=1.0, rows=10.0):
 def traced_search(join_catalog, paper_query):
     """One real optimisation journalled end to end (plan cache off so
     the search actually runs)."""
+    previous = get_plan_cache()
     disable_plan_cache()
     try:
         with trace_search() as trace:
@@ -51,7 +53,7 @@ def traced_search(join_catalog, paper_query):
                 plan_query(paper_query, join_catalog), join_catalog
             )
     finally:
-        enable_plan_cache()
+        set_plan_cache(previous)
     return trace, result
 
 
@@ -167,13 +169,14 @@ class TestScoping:
         trace = SearchTrace()
         trace.enabled = False
         set_search_trace(trace)
+        previous = get_plan_cache()
         disable_plan_cache()
         try:
             result = optimize_dqo(
                 plan_query(paper_query, join_catalog), join_catalog
             )
         finally:
-            enable_plan_cache()
+            set_plan_cache(previous)
             set_search_trace(None)
         assert trace.summary()["events"] == 0
         assert result.search_trace is None
